@@ -2,9 +2,9 @@ package heimdall
 
 // One benchmark per paper table/figure (each runs the corresponding
 // experiment at SmallScale; use cmd/heimdall-bench for larger scales), plus
-// microbenchmarks for the deployment-critical paths: quantized inference
-// (§4.1's sub-microsecond claim), training throughput (§6.7), labeling, and
-// the simulator itself.
+// microbenchmarks for the deployment-critical paths: admission through the
+// float engine and the integer reference networks (§4.1), training
+// throughput (§6.7), labeling, and the simulator itself.
 
 import (
 	"testing"
@@ -40,10 +40,12 @@ func benchModel(b *testing.B) *core.Model {
 	return m
 }
 
-// BenchmarkInferenceQuantized measures the §4.1 deployment path: one
-// fixed-point admission decision (the paper reports 0.05-0.12µs in C).
+// BenchmarkInferenceQuantized measures one admission decision through the
+// int32 fixed-point network of §4.1 (the paper reports 0.05-0.12µs in C),
+// pinned with WithPredictor since the model decides through float.
 func BenchmarkInferenceQuantized(b *testing.B) {
 	m := benchModel(b)
+	m = m.WithPredictor(m.Quantized())
 	hist := feature.NewWindow(3)
 	hist.Push(feature.Hist{Latency: 100_000, QueueLen: 2, Thpt: 40})
 	raw := m.Features(3, 4096, hist)
@@ -55,12 +57,13 @@ func BenchmarkInferenceQuantized(b *testing.B) {
 }
 
 // BenchmarkInferenceInt8 measures one admission decision through the int8
-// engine — the lowest rung of the quantization ladder.
+// reference network.
 func BenchmarkInferenceInt8(b *testing.B) {
 	m := benchModel(b)
 	if err := m.EnableInt8(nil); err != nil {
 		b.Fatal(err)
 	}
+	m = m.WithPredictor(m.Quantized8())
 	hist := feature.NewWindow(3)
 	hist.Push(feature.Hist{Latency: 100_000, QueueLen: 2, Thpt: 40})
 	raw := m.Features(3, 4096, hist)
@@ -73,7 +76,7 @@ func BenchmarkInferenceInt8(b *testing.B) {
 }
 
 // benchBatchAdmit times the batched admission path (scaling + forward pass +
-// threshold) through the model's active engine, reporting ns per row.
+// threshold) through the model's engine, reporting ns per row.
 func benchBatchAdmit(b *testing.B, m *core.Model) {
 	b.Helper()
 	tr := trace.Generate(trace.MSRStyle(2, 2*time.Second))
@@ -94,9 +97,14 @@ func benchBatchAdmit(b *testing.B, m *core.Model) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")
 }
 
-// BenchmarkBatchAdmitInt32 and BenchmarkBatchAdmitInt8 compare the batched
-// admission path across the two integer engines on identical rows — the pair
-// behind the heimdall-bench int8 table.
+// BenchmarkBatchAdmitFloat, BenchmarkBatchAdmitInt32 and
+// BenchmarkBatchAdmitInt8 compare the batched admission path across the
+// float engine and the two integer reference networks on identical rows —
+// the rows behind the heimdall-bench int8 table.
+func BenchmarkBatchAdmitFloat(b *testing.B) {
+	benchBatchAdmit(b, benchModel(b))
+}
+
 func BenchmarkBatchAdmitInt32(b *testing.B) {
 	m := benchModel(b)
 	benchBatchAdmit(b, m.WithPredictor(m.Quantized()))
@@ -107,22 +115,22 @@ func BenchmarkBatchAdmitInt8(b *testing.B) {
 	if err := m.EnableInt8(nil); err != nil {
 		b.Fatal(err)
 	}
-	benchBatchAdmit(b, m)
+	benchBatchAdmit(b, m.WithPredictor(m.Quantized8()))
 }
 
-// BenchmarkInferenceFloat is the un-quantized reference (the paper's 20µs
-// pre-optimization path, here already fast because Go compiles natively). It
-// runs through ScoreFast — the scratch-reusing PredictInto path — and must
-// report 0 allocs/op.
+// BenchmarkInferenceFloat measures one admission decision through the
+// float engine every model decides with (the paper's 20µs pre-optimization
+// path, here fast because Go compiles natively). It must report 0
+// allocs/op.
 func BenchmarkInferenceFloat(b *testing.B) {
 	m := benchModel(b)
 	hist := feature.NewWindow(3)
 	raw := m.Features(3, 4096, hist)
-	m.ScoreFast(raw) // warm the scratch buffers outside the timed loop
+	m.Admit(raw) // warm the scratch buffers outside the timed loop
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ScoreFast(raw)
+		m.Admit(raw)
 	}
 }
 

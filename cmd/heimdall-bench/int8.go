@@ -16,12 +16,13 @@ import (
 )
 
 // runInt8Bench is the `heimdall-bench int8` subcommand: it trains one model
-// carrying both the int32 reference engine and the batched int8 engine,
-// then measures the full batched admission path (scaling + forward pass +
-// threshold) through each on the same eval rows — ns/op per row, allocs per
-// batch, engine memory footprint, and the verdict agreement rate. It exits
-// nonzero when the int8 batched path allocates or agreement falls below the
-// gate, so CI can hold the line.
+// carrying both integer reference networks, then measures the full batched
+// admission path (scaling + forward pass + threshold) through the float
+// engine the model decides with and through the int32 and int8 networks on
+// the same eval rows — ns/op per row, allocs per batch, engine memory
+// footprint, and the int8-vs-int32 verdict agreement rate. It exits nonzero
+// when the int8 batched path allocates or agreement falls below the gate,
+// so CI can hold the line.
 func runInt8Bench(args []string) {
 	fs := flag.NewFlagSet("int8", flag.ExitOnError)
 	seed := fs.Int64("seed", 1, "training/workload seed")
@@ -75,6 +76,7 @@ func runInt8Bench(args []string) {
 		return nsPerRow, allocs, verdicts
 	}
 
+	nsF, allocsF, _ := bench(model)
 	ns32, allocs32, v32 := bench(m32)
 	ns8, allocs8, v8 := bench(m8)
 	agree := 0
@@ -84,10 +86,12 @@ func runInt8Bench(args []string) {
 		}
 	}
 	rate := float64(agree) / float64(len(rows))
+	memF := model.Net().MemoryBytes()
 	mem32 := model.Quantized().MemoryBytes()
 	mem8 := model.Quantized8().MemoryBytes()
 
 	fmt.Printf("int8 bench: %d rows, batch %d, %d passes\n", len(rows), *batch, *iters)
+	fmt.Printf("  float: %8.1f ns/row  %5.1f allocs/batch  %6d B engine\n", nsF, allocsF, memF)
 	fmt.Printf("  int32: %8.1f ns/row  %5.1f allocs/batch  %6d B engine\n", ns32, allocs32, mem32)
 	fmt.Printf("  int8:  %8.1f ns/row  %5.1f allocs/batch  %6d B engine\n", ns8, allocs8, mem8)
 	fmt.Printf("  speedup x%.2f, verdict agreement %d/%d = %.4f\n", ns32/ns8, agree, len(rows), rate)
@@ -98,11 +102,14 @@ func runInt8Bench(args []string) {
 			Rows        int     `json:"rows"`
 			Batch       int     `json:"batch"`
 			Iters       int     `json:"iters"`
+			NsPerRowF   float64 `json:"ns_per_row_float"`
 			NsPerRow32  float64 `json:"ns_per_row_int32"`
 			NsPerRow8   float64 `json:"ns_per_row_int8"`
 			Speedup     float64 `json:"speedup"`
+			AllocsF     float64 `json:"allocs_per_batch_float"`
 			Allocs32    float64 `json:"allocs_per_batch_int32"`
 			Allocs8     float64 `json:"allocs_per_batch_int8"`
+			MemBytesF   int     `json:"engine_bytes_float"`
 			MemBytes32  int     `json:"engine_bytes_int32"`
 			MemBytes8   int     `json:"engine_bytes_int8"`
 			Agreement   float64 `json:"verdict_agreement"`
@@ -110,9 +117,9 @@ func runInt8Bench(args []string) {
 			ElapsedNote string  `json:"note"`
 		}{
 			Experiment: "int8", Rows: len(rows), Batch: *batch, Iters: *iters,
-			NsPerRow32: ns32, NsPerRow8: ns8, Speedup: ns32 / ns8,
-			Allocs32: allocs32, Allocs8: allocs8,
-			MemBytes32: mem32, MemBytes8: mem8,
+			NsPerRowF: nsF, NsPerRow32: ns32, NsPerRow8: ns8, Speedup: ns32 / ns8,
+			AllocsF: allocsF, Allocs32: allocs32, Allocs8: allocs8,
+			MemBytesF: memF, MemBytes32: mem32, MemBytes8: mem8,
 			Agreement: rate, AgreeGate: *gate,
 			ElapsedNote: "full batched admission path: min-max scaling + forward pass + threshold",
 		}

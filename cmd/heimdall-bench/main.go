@@ -22,21 +22,21 @@
 // always-admit, hedging, Heimdall, and circuit-breaker-guarded Heimdall
 // under each scenario.
 //
-// Three subcommands sit outside the experiment table machinery and parse
+// Four subcommands sit outside the experiment table machinery and parse
 // their own flags: `heimdall-bench serve` is the load generator for a live
-// heimdall-serve instance (add -int8 to self-host on the batched int8
-// engine), `heimdall-bench chaos` is the availability soak — it drives the
-// full client/proxy/server loop through seeded network fault schedules and
-// asserts the outcomes are deterministic across reruns and shard counts —
-// and `heimdall-bench int8` measures the int8 batch engine against the
-// int32 reference (ns/op per row, allocs, verdict agreement) and writes
+// heimdall-serve instance; `heimdall-bench chaos` is the availability soak —
+// it drives the full client/proxy/server loop through seeded network fault
+// schedules and asserts the outcomes are deterministic across reruns and
+// shard counts; `heimdall-bench int8` times the batched admission path
+// through the float engine and the int32 and int8 reference networks
+// (ns/op per row, allocs, int8-vs-int32 verdict agreement) and writes
 // BENCH_int8.json, exiting nonzero if the int8 path allocates or agreement
-// regresses (see -help on each). `heimdall-bench retrain` is the
-// continuous-learning shoot-out: a seeded drifting workload replayed
-// through a train-once baseline and a lifecycle-managed server, scoring
-// per-window accuracy/FNR against ground truth and asserting the managed
-// run's outcomes are byte-identical across reruns and candidate-training
-// worker counts (writes BENCH_retrain.json with -json).
+// regresses; and `heimdall-bench retrain` is the continuous-learning
+// shoot-out: a seeded drifting workload replayed through a train-once
+// baseline and a lifecycle-managed server, scoring per-window accuracy/FNR
+// against ground truth and asserting the managed run's outcomes are
+// byte-identical across reruns and candidate-training worker counts (writes
+// BENCH_retrain.json with -json). See -help on each.
 package main
 
 import (
@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -219,68 +220,97 @@ func usage() {
 	flag.PrintDefaults()
 }
 
+// locBuckets are the rows of the implementation-scale table, in print
+// order, each with the packages under internal/ it counts.
+var locBuckets = []struct {
+	name     string
+	internal []string
+}{
+	{"core pipeline (core,label,filter,feature,nn)", []string{"core", "label", "filter", "feature", "nn"}},
+	{"substrates (ssd,trace,iolog,metrics)", []string{"ssd", "trace", "iolog", "metrics"}},
+	{"baselines (linnos,policy,models,automl)", []string{"linnos", "policy", "models", "automl"}},
+	{"integration (replay,cluster,experiments,parallel)", []string{"replay", "cluster", "experiments", "parallel"}},
+	{"serve", []string{"serve"}},
+	{"lifecycle", []string{"lifecycle"}},
+	{"analysis", []string{"analysis"}},
+	{"fault + drift", []string{"fault", "drift"}},
+	{"benchmark harness (perfbench)", nil},
+	{"cmd", nil},
+	{"examples", nil},
+	{"root", nil},
+}
+
+// locBucket maps a repository-relative Go file path to its row of the
+// implementation-scale table, "" when no row claims it.
+func locBucket(rel string) string {
+	parts := strings.Split(filepath.ToSlash(rel), "/")
+	switch {
+	case len(parts) == 1:
+		return "root"
+	case parts[0] == "perfbench":
+		return "benchmark harness (perfbench)"
+	case parts[0] == "cmd", parts[0] == "examples":
+		return parts[0]
+	case parts[0] == "internal":
+		for _, b := range locBuckets {
+			if slices.Contains(b.internal, parts[1]) {
+				return b.name
+			}
+		}
+	}
+	return ""
+}
+
 // printLOC counts Go lines in the repository — the Table 1 analogue.
 func printLOC() {
-	type bucket struct {
-		name  string
-		match func(path string) bool
-	}
-	buckets := []bucket{
-		{"core pipeline (core,label,filter,feature,nn)", func(p string) bool {
-			return strings.Contains(p, "internal/core") || strings.Contains(p, "internal/label") ||
-				strings.Contains(p, "internal/filter") || strings.Contains(p, "internal/feature") ||
-				strings.Contains(p, "internal/nn")
-		}},
-		{"substrates (ssd,trace,iolog,metrics)", func(p string) bool {
-			return strings.Contains(p, "internal/ssd") || strings.Contains(p, "internal/trace") ||
-				strings.Contains(p, "internal/iolog") || strings.Contains(p, "internal/metrics")
-		}},
-		{"baselines (linnos,policy,models,automl)", func(p string) bool {
-			return strings.Contains(p, "internal/linnos") || strings.Contains(p, "internal/policy") ||
-				strings.Contains(p, "internal/models") || strings.Contains(p, "internal/automl")
-		}},
-		{"integration (replay,cluster,experiments)", func(p string) bool {
-			return strings.Contains(p, "internal/replay") || strings.Contains(p, "internal/cluster") ||
-				strings.Contains(p, "internal/experiments")
-		}},
-		{"tools & examples (cmd,examples,root)", func(p string) bool { return true }},
-	}
-	counts := make([]int, len(buckets))
-	testCounts := make([]int, len(buckets))
 	root := "."
 	if _, err := os.Stat("go.mod"); err != nil {
 		root = filepath.Dir(os.Args[0])
 	}
+	counts := map[string]int{}
+	testCounts := map[string]int{}
 	total, testTotal := 0, 0
 	_ = filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() || !strings.HasSuffix(path, ".go") {
+		if err != nil {
+			return nil
+		}
+		if info.IsDir() {
+			if name := info.Name(); name == ".git" || name == ".bench_build" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil
 		}
-		lines := strings.Count(string(data), "\n")
-		total += lines
-		isTest := strings.HasSuffix(path, "_test.go")
-		if isTest {
-			testTotal += lines
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return nil
 		}
-		for i, b := range buckets {
-			if b.match(path) {
-				if isTest {
-					testCounts[i] += lines
-				} else {
-					counts[i] += lines
-				}
-				break
-			}
+		lines := strings.Count(string(data), "\n")
+		b := locBucket(rel)
+		if b == "" {
+			b = "other"
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			testCounts[b] += lines
+			testTotal += lines
+		} else {
+			counts[b] += lines
+			total += lines
 		}
 		return nil
 	})
 	fmt.Println("## Table 1 analogue — implementation scale (Go lines)")
-	for i, b := range buckets {
-		fmt.Printf("%-48s %6d  (+%d test)\n", b.name, counts[i], testCounts[i])
+	for _, b := range locBuckets {
+		fmt.Printf("%-52s %6d  (+%d test)\n", b.name, counts[b.name], testCounts[b.name])
 	}
-	fmt.Printf("%-48s %6d  (+%d test)\n", "total", total-testTotal, testTotal)
+	if n := counts["other"] + testCounts["other"]; n > 0 {
+		fmt.Printf("%-52s %6d  (+%d test)\n", "other", counts["other"], testCounts["other"])
+	}
+	fmt.Printf("%-52s %6d  (+%d test)\n", "total", total, testTotal)
 }

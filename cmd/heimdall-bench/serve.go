@@ -48,7 +48,6 @@ func runServeBench(args []string) {
 	pipeConns := fs.Int("pipeline-conns", 1, "connections for the pipelined phase; the conns×devices population is spread across them (0 = same conns as the sync phase)")
 	seed := fs.Int64("seed", 1, "workload seed")
 	trainDur := fs.Duration("train-dur", 4*time.Second, "self-host: training-trace duration")
-	int8Flag := fs.Bool("int8", false, "self-host: decide through the batched int8 engine")
 	jsonOut := fs.Bool("json", false, "write BENCH_serve.json")
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
@@ -65,7 +64,7 @@ func runServeBench(args []string) {
 			_ = os.RemoveAll(tmp)
 		}()
 		target = "unix:" + filepath.Join(tmp, "serve.sock")
-		srv = selfHost(target, *seed, *trainDur, *int8Flag)
+		srv = selfHost(target, *seed, *trainDur)
 		defer func() {
 			if err := srv.Close(); err != nil {
 				fatalServe(err)
@@ -345,13 +344,12 @@ func printPhase(p servePhase) {
 }
 
 // selfHost trains a quick model and serves it on addr in-process.
-func selfHost(addr string, seed int64, trainDur time.Duration, int8Engine bool) *serve.Server {
+func selfHost(addr string, seed int64, trainDur time.Duration) *serve.Server {
 	tr := trace.Generate(trace.MSRStyle(seed, trainDur))
 	log := iolog.Collect(tr, ssd.New(ssd.Samsung970Pro(), seed))
 	cfg := core.DefaultConfig(seed)
 	cfg.Epochs = 10
 	cfg.MaxTrainSamples = 10000
-	cfg.Quantize8 = int8Engine
 	model, err := core.Train(log, cfg)
 	if err != nil {
 		fatalServe(err)

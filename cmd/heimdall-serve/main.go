@@ -50,7 +50,6 @@ func main() {
 	device := flag.String("device", "970pro", "simulated device for in-process training: 970pro, s3610, pm961, femu")
 	seed := flag.Int64("seed", 1, "training seed")
 	joint := flag.Int("joint", 1, "joint-inference granularity P for in-process training")
-	int8Flag := flag.Bool("int8", false, "decide through the batched int8 engine (calibrated at training time, or from the model's own training data when loading -model)")
 	listen := flag.String("listen", "tcp:127.0.0.1:7710", `listen address: "tcp:host:port" or "unix:/path/sock"`)
 	shards := flag.Int("shards", 0, "device shards (0 = default 4)")
 	queueLen := flag.Int("queue", 0, "per-shard queue bound (0 = default 256)")
@@ -90,20 +89,6 @@ func main() {
 		}
 		fmt.Printf("loaded %s: %d-deep features, joint=%d, threshold %.3f\n",
 			*modelPath, model.Spec().Depth, model.JointSize(), model.Threshold())
-		if *int8Flag {
-			// A model saved from a Quantize8 training run already carries
-			// calibrated activation scales; otherwise EnableInt8 falls back
-			// to analytic bounds (coarser, still correct).
-			calibrated := model.Quantized8() != nil
-			if err := model.EnableInt8(nil); err != nil {
-				fatal(err)
-			}
-			if calibrated {
-				fmt.Println("int8 engine active (calibrated scales from model file)")
-			} else {
-				fmt.Println("int8 engine active (analytic fallback scales; retrain with Quantize8 for calibrated ones)")
-			}
-		}
 	default:
 		devCfg, err := deviceByName(*device)
 		if err != nil {
@@ -120,7 +105,6 @@ func main() {
 		log := iolog.Collect(tr, ssd.New(devCfg, *seed))
 		cfg := core.DefaultConfig(*seed)
 		cfg.JointSize = *joint
-		cfg.Quantize8 = *int8Flag
 		start := time.Now()
 		model, err = core.Train(log, cfg)
 		if err != nil {
@@ -128,9 +112,6 @@ func main() {
 		}
 		fmt.Printf("trained in-process (%s, %v trace) in %v: threshold %.3f\n",
 			styleName, *dur, time.Since(start).Round(time.Millisecond), model.Threshold())
-		if *int8Flag {
-			fmt.Println("int8 engine active (activation scales calibrated on training rows)")
-		}
 		// Wire the drift detectors against the training distribution, so
 		// Stats.MaxPSI tracks how far live traffic has wandered from what
 		// the model saw (§7's retraining signal).
@@ -158,7 +139,6 @@ func main() {
 		// per-size-class latency knee instead of period search.
 		train.Labeling = core.LabelCutoffSize
 		train.SearchThresholds = false
-		train.Quantize8 = *int8Flag
 		var err error
 		mgr, err = lifecycle.New(lifecycle.Config{
 			Seed:                *seed,

@@ -20,7 +20,7 @@ func main() {
 	fmt.Printf("collected %d I/Os (%d reads)\n", len(iolog), len(heimdall.Reads(iolog)))
 
 	// 2. Train: period-based labeling -> 3-stage noise filtering -> feature
-	//    engineering -> tuned NN -> quantization. One call.
+	//    engineering -> tuned NN. One call.
 	model, err := heimdall.Train(iolog, heimdall.DefaultConfig(7))
 	if err != nil {
 		log.Fatalf("train: %v", err)
@@ -42,7 +42,7 @@ func main() {
 
 	// 4. Make online decisions the way a deployment would: keep a rolling
 	//    window of completed-I/O history, build the feature row, and ask the
-	//    quantized model.
+	//    model.
 	hist := heimdall.NewFeatureWindow(3)
 	// An idle device: short queue, fast recent completions -> admit.
 	hist.Push(heimdall.HistEntry{Latency: 90_000, QueueLen: 1, Thpt: 45})

@@ -17,11 +17,12 @@
 //
 // The full pipeline (§3 of the paper) runs inside Train: period-based
 // labeling with gradient-descent threshold search, 3-stage noise filtering,
-// feature engineering with min-max scaling, the tuned 128/16 ReLU network,
-// and fixed-point quantization for sub-microsecond admission decisions.
-// Every inference engine — float, int32 fixed-point, and the batched int8
-// engine (Config.Quantize8 or (*Model).EnableInt8) — sits behind the one
-// Predictor interface; see predictor.go.
+// feature engineering with min-max scaling, and the tuned 128/16 ReLU
+// network. Every admission decision runs through that float network. The
+// §4.1 fixed-point forms — int32 (Config.Quantize, on by default) and int8
+// (Config.Quantize8 or (*Model).EnableInt8) — are built as references for
+// the C export (ExportC); all three implement one Predictor interface, see
+// predictor.go.
 //
 // This package is a façade: it re-exports the stable API of the internal
 // packages so downstream users import a single path.
@@ -195,9 +196,8 @@ func AMSPolicy() Selector { return policy.AMS{} }
 func HeronPolicy() Selector { return &policy.Heron{} }
 
 // HeimdallPolicy wraps per-replica trained models into an admission policy.
-// Each model decides through its active Predictor (see predictor.go); use
-// (*Model).SetPredictor or (*Model).WithPredictor to pin a specific rung of
-// the quantization ladder per replica.
+// Each model decides through its float network; (*Model).WithPredictor pins
+// an integer reference network per replica instead (see predictor.go).
 func HeimdallPolicy(models []*Model) Selector { return &policy.Heimdall{Models: models} }
 
 // LinnOSPolicy wraps per-replica LinnOS models; hedge > 0 adds hedging on

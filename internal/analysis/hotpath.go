@@ -7,8 +7,8 @@ import (
 )
 
 // hotpath enforces the allocation-free contract on functions annotated
-// //heimdall:hotpath — the sub-microsecond inference paths (PredictInto,
-// ScoreFast, Admit) and the replay event heaps whose 0 allocs/op the §5
+// //heimdall:hotpath — the inference paths (PredictInto, AdmitBatchInto,
+// Admit) and the replay event heaps whose 0 allocs/op the §5
 // latency results depend on. Inside an annotated function the lint flags:
 //
 //   - calls into fmt or log (formatting allocates and takes locks);

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/feature"
 	"repro/internal/iolog"
+	"repro/internal/nn"
 )
 
 // evalRows extracts a deterministic raw feature set from a fresh device log.
@@ -18,36 +20,38 @@ func evalRows(t *testing.T, m *Model, seed int64) [][]float64 {
 }
 
 // TestAdmitBatchIntoMatchesAdmitInto pins the API contract the serving layer
-// leans on: one batched pass returns exactly the verdicts row-by-row
-// admission would, at every batch size, for every rung of the quantization
-// ladder.
+// leans on: one batched pass returns exactly the verdicts one-row admission
+// would, at every batch size — on the float engine whether or not the
+// integer references were built, and on each integer reference pinned
+// through WithPredictor.
 func TestAdmitBatchIntoMatchesAdmitInto(t *testing.T) {
 	for _, mode := range []struct {
 		name          string
 		quant, quant8 bool
+		engine        func(m *Model) nn.Predictor
 	}{
-		{"float", false, false},
-		{"int32", true, false},
-		{"int8", false, true},
-		{"int32+int8", true, true},
+		{"float", false, false, func(m *Model) nn.Predictor { return m.Net() }},
+		{"int32", true, false, func(m *Model) nn.Predictor { return m.Quantized() }},
+		{"int8", false, true, func(m *Model) nn.Predictor { return m.Quantized8() }},
+		{"int32+int8", true, true, func(m *Model) nn.Predictor { return nil }},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			_, lg := testLog(t, 31, 3*time.Second)
 			cfg := quickCfg(31)
 			cfg.Quantize = mode.quant
 			cfg.Quantize8 = mode.quant8
-			m, err := Train(lg, cfg)
+			trained, err := Train(lg, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if mode.quant8 && m.Quantized8() == nil {
-				t.Fatal("Quantize8 set but no int8 engine built")
+			if mode.quant8 && trained.Quantized8() == nil {
+				t.Fatal("Quantize8 set but no int8 network built")
 			}
+			m := trained.WithPredictor(mode.engine(trained))
 			rows := evalRows(t, m, 32)[:400]
-			scr := m.NewScratch()
 			want := make([]bool, len(rows))
 			for i, r := range rows {
-				want[i] = m.AdmitInto(r, scr)
+				want[i] = m.Admit(r)
 			}
 			for _, bs := range []int{1, 7, 64, len(rows)} {
 				bscr := m.NewBatchScratch(bs)
@@ -67,6 +71,66 @@ func TestAdmitBatchIntoMatchesAdmitInto(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestServedMatchesOffline is the offline-vs-served differential: on one
+// seeded log, the offline pipeline's scores (Evaluate) thresholded at the
+// calibrated boundary, batched admission at several batch sizes, one-row
+// Admit, and the lifecycle judge's Score comparison all give the same
+// verdict on every row.
+func TestServedMatchesOffline(t *testing.T) {
+	_, lg := testLog(t, 45, 3*time.Second)
+	m, err := Train(lg, quickCfg(45))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, test := testLog(t, 46, 3*time.Second)
+	reads := iolog.Reads(test)
+	rows := feature.Extract(reads, m.Spec())
+	scores, _ := m.evalScores(reads, iolog.GroundTruth(reads))
+	offline := make([]bool, len(rows))
+	for i, s := range scores {
+		offline[i] = s < m.Threshold()
+	}
+	check := func(path string, got []bool) {
+		t.Helper()
+		for i := range offline {
+			if got[i] != offline[i] {
+				t.Fatalf("%s row %d: verdict %v, offline %v", path, i, got[i], offline[i])
+			}
+		}
+	}
+	for _, bs := range []int{1, 7, 64} {
+		scr := m.NewBatchScratch(bs)
+		got := make([]bool, len(rows))
+		for off := 0; off < len(rows); off += bs {
+			m.AdmitBatchInto(rows[off:min(off+bs, len(rows))], got[off:], scr)
+		}
+		check(fmt.Sprintf("AdmitBatchInto b%d", bs), got)
+	}
+	admit := make([]bool, len(rows))
+	judge := make([]bool, len(rows))
+	for i, r := range rows {
+		admit[i] = m.Admit(r)
+		judge[i] = m.Score(r) < m.Threshold()
+	}
+	check("Admit", admit)
+	check("Score", judge)
+
+	// The int32 reference network disagrees with the float engine on a few
+	// rows of this log, so the agreement above is not vacuous: deciding
+	// through any other engine would fail it.
+	q := m.WithPredictor(m.Quantized())
+	differ := 0
+	for i, r := range rows {
+		if q.Admit(r) != offline[i] {
+			differ++
+		}
+	}
+	t.Logf("%d rows; int32 reference differs on %d", len(rows), differ)
+	if differ == 0 {
+		t.Fatal("int32 reference agrees everywhere; the differential has no teeth on this log")
 	}
 }
 
@@ -106,8 +170,9 @@ func TestInt8VerdictAgreement(t *testing.T) {
 }
 
 // TestEnableInt8 covers post-training upgrade: a model trained without
-// Quantize8 gains the int8 engine from caller-supplied calibration rows and
-// starts deciding through it.
+// Quantize8 gains the int8 reference network from caller-supplied
+// calibration rows, keeps deciding through the float network, and the int8
+// network decides consistently when pinned through WithPredictor.
 func TestEnableInt8(t *testing.T) {
 	_, lg := testLog(t, 35, 3*time.Second)
 	m, err := Train(lg, quickCfg(35))
@@ -115,37 +180,49 @@ func TestEnableInt8(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m.Quantized8() != nil {
-		t.Fatal("int8 engine present before EnableInt8")
+		t.Fatal("int8 network present before EnableInt8")
 	}
 	rows := evalRows(t, m, 36)[:300]
+	scr := m.NewBatchScratch(len(rows))
+	before := make([]bool, len(rows))
+	m.AdmitBatchInto(rows, before, scr)
 	if err := m.EnableInt8(rows); err != nil {
 		t.Fatal(err)
 	}
 	q8 := m.Quantized8()
-	if q8 == nil || m.Predictor() != q8 {
-		t.Fatal("EnableInt8 did not install the int8 engine as active Predictor")
+	if q8 == nil || m.Predictor() != nn.Predictor(m.Net()) {
+		t.Fatal("EnableInt8 must build the int8 network and leave the float engine deciding")
 	}
-	// Decisions flow and batched == row-by-row through the new engine.
-	scr := m.NewBatchScratch(len(rows))
-	got := make([]bool, len(rows))
-	m.AdmitBatchInto(rows, got, scr)
-	for i, r := range rows {
-		if m.Admit(r) != got[i] {
-			t.Fatalf("row %d: Admit != AdmitBatchInto after EnableInt8", i)
+	after := make([]bool, len(rows))
+	m.AdmitBatchInto(rows, after, scr)
+	for i := range before {
+		if before[i] != after[i] {
+			t.Fatalf("row %d: EnableInt8 changed the model's verdict", i)
 		}
 	}
-	// Idempotent: a second call keeps the same engine.
+	// Pinned, the int8 network decides batched == row-by-row.
+	m8 := m.WithPredictor(q8)
+	got := make([]bool, len(rows))
+	m8.AdmitBatchInto(rows, got, m8.NewBatchScratch(len(rows)))
+	for i, r := range rows {
+		if m8.Admit(r) != got[i] {
+			t.Fatalf("row %d: int8 Admit != AdmitBatchInto", i)
+		}
+	}
+	// Idempotent: a second call keeps the same network.
 	if err := m.EnableInt8(nil); err != nil {
 		t.Fatal(err)
 	}
 	if m.Quantized8() != q8 {
-		t.Fatal("second EnableInt8 rebuilt the engine")
+		t.Fatal("second EnableInt8 rebuilt the network")
 	}
 }
 
-// TestSetPredictorLadder pins engine selection: ladder default prefers int8
-// over int32 over float, SetPredictor overrides, nil restores.
-func TestSetPredictorLadder(t *testing.T) {
+// TestPredictorIsFloat pins the one inference path: every constructor —
+// Train, TrainLiveRows, FinetuneLive, FinetuneLiveRows, Load — returns a
+// model that decides through its float network even when it carries both
+// integer references, and WithPredictor derives an independent model.
+func TestPredictorIsFloat(t *testing.T) {
 	_, lg := testLog(t, 37, 3*time.Second)
 	cfg := quickCfg(37)
 	cfg.Quantize = true
@@ -154,32 +231,69 @@ func TestSetPredictorLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Predictor() != m.Quantized8() {
-		t.Fatal("ladder default should be the int8 engine")
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
 	}
-	m.SetPredictor(m.Net())
-	if m.Predictor() != m.Net() {
-		t.Fatal("SetPredictor(float) not honored")
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	raw := evalRows(t, m, 38)[0]
-	_ = m.Admit(raw) // must run fine on a fresh engine-specific scratch
-	m.SetPredictor(nil)
-	if m.Predictor() != m.Quantized8() {
-		t.Fatal("SetPredictor(nil) should restore the ladder default")
+	// Serving-style rows: queue depth, size, and a latency column that is
+	// informative on two samples in three, so both classes stay learnable.
+	samples := liveSamples(38, 1200, 2)
+	for i := range samples {
+		s := &samples[i]
+		s.Row = make([]float64, cfg.Feature.Width())
+		s.Row[0], s.Row[1] = float64(s.QueueLen), float64(s.Size)
+		s.Row[2] = float64(s.LatencyNs) * float64(i%3) / 3
+	}
+	lcfg := liveTestConfig(38)
+	lcfg.Quantize = true
+	lcfg.Quantize8 = true
+	live, err := TrainLiveRows(samples, lcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tunedRows, err := live.FinetuneLiveRows(samples, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lrec, err := TrainLive(samples, lcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuned, err := lrec.FinetuneLive(samples, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, x := range map[string]*Model{
+		"Train": m, "Load": loaded, "TrainLiveRows": live,
+		"FinetuneLiveRows": tunedRows, "FinetuneLive": tuned,
+	} {
+		if x.Quantized() == nil || x.Quantized8() == nil {
+			t.Fatalf("%s: integer references not built", name)
+		}
+		if x.Predictor() != nn.Predictor(x.Net()) {
+			t.Fatalf("%s: model does not decide through its float network", name)
+		}
 	}
 	// WithPredictor derives an independent model; the original is untouched.
 	c := m.WithPredictor(m.Quantized())
-	if c.Predictor() != m.Quantized() || m.Predictor() != m.Quantized8() {
+	if c.Predictor() != nn.Predictor(m.Quantized()) || m.Predictor() != nn.Predictor(m.Net()) {
 		t.Fatal("WithPredictor leaked into the original model")
 	}
 	if c.Threshold() != m.Threshold() {
 		t.Fatal("WithPredictor lost the calibrated threshold")
 	}
+	if c.WithPredictor(nil).Predictor() != nn.Predictor(m.Net()) {
+		t.Fatal("WithPredictor(nil) should decide through the float network")
+	}
 }
 
 // TestSaveLoadInt8RoundTrip pins serialization exactness for the int8
-// engine: stored activation scales plus the float snapshot rebuild an engine
-// whose every verdict matches the original.
+// reference network: stored activation scales plus the float snapshot
+// rebuild a network whose every verdict matches the original.
 func TestSaveLoadInt8RoundTrip(t *testing.T) {
 	_, lg := testLog(t, 39, 3*time.Second)
 	cfg := quickCfg(39)
@@ -197,11 +311,9 @@ func TestSaveLoadInt8RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m2.Quantized8() == nil {
-		t.Fatal("int8 engine not rebuilt on Load")
+		t.Fatal("int8 network not rebuilt on Load")
 	}
-	if m2.Predictor() != m2.Quantized8() {
-		t.Fatal("loaded model does not decide through the int8 engine")
-	}
+	m, m2 = m.WithPredictor(m.Quantized8()), m2.WithPredictor(m2.Quantized8())
 	rows := evalRows(t, m, 40)[:500]
 	s1 := m.NewBatchScratch(len(rows))
 	s2 := m2.NewBatchScratch(len(rows))
@@ -220,9 +332,7 @@ func TestSaveLoadInt8RoundTrip(t *testing.T) {
 // the guarantee the serving layer's drain loop depends on.
 func TestAdmitBatchIntoZeroAlloc(t *testing.T) {
 	_, lg := testLog(t, 41, 3*time.Second)
-	cfg := quickCfg(41)
-	cfg.Quantize8 = true
-	m, err := Train(lg, cfg)
+	m, err := Train(lg, quickCfg(41))
 	if err != nil {
 		t.Fatal(err)
 	}

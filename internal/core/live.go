@@ -118,15 +118,7 @@ func LiveLabels(samples []LiveSample, cfg Config) []int {
 // single-I/O rows). Rows are copied before scaling, so the caller's
 // sample set is untouched. Deterministic in (samples, cfg).
 func TrainLiveRows(samples []LiveSample, cfg Config) (*Model, error) {
-	rows := make([][]float64, 0, len(samples))
-	kept := make([]LiveSample, 0, len(samples))
-	for _, s := range samples {
-		if s.Row == nil {
-			continue
-		}
-		rows = append(rows, append([]float64(nil), s.Row...))
-		kept = append(kept, s)
-	}
+	rows, kept := liveRows(samples)
 	if len(rows) == 0 {
 		return nil, ErrNoReads
 	}
@@ -136,15 +128,7 @@ func TrainLiveRows(samples []LiveSample, cfg Config) (*Model, error) {
 	}
 
 	cfg.JointSize = 1
-	if cfg.Feature.Depth == 0 {
-		cfg.Feature = feature.DefaultSpec()
-	}
-	if len(cfg.Hidden) == 0 {
-		cfg.Hidden = []nn.LayerSpec{{Units: 128, Act: nn.ReLU}, {Units: 16, Act: nn.ReLU}}
-	}
-	if cfg.Output.Units == 0 {
-		cfg.Output = nn.LayerSpec{Units: 1, Act: nn.Sigmoid}
-	}
+	cfg = withDefaults(cfg)
 	if w := cfg.Feature.Width(); w != len(rows[0]) {
 		return nil, fmt.Errorf("core: live rows are %d wide, feature spec wants %d", len(rows[0]), w)
 	}
@@ -153,30 +137,11 @@ func TrainLiveRows(samples []LiveSample, cfg Config) (*Model, error) {
 	feature.FitTransform(scaler, rows)
 	rows, labels = subsample(rows, labels, cfg.MaxTrainSamples, cfg.Seed)
 
-	loss := nn.BCE
-	if cfg.Output.Act == nn.Softmax {
-		loss = nn.CE
-	}
-	net, err := nn.New(nn.Config{
-		Inputs:    len(rows[0]),
-		Layers:    append(append([]nn.LayerSpec(nil), cfg.Hidden...), cfg.Output),
-		Seed:      cfg.Seed,
-		Optimizer: nn.Adam,
-		Loss:      loss,
-		LR:        cfg.LR,
-		Epochs:    cfg.Epochs,
-		Batch:     cfg.Batch,
-		PosWeight: cfg.PosWeight,
-		Patience:  6,
-	})
+	net, err := newNet(cfg, len(rows[0]))
 	if err != nil {
 		return nil, err
 	}
-	yf := make([]float64, len(labels))
-	for i, l := range labels {
-		yf[i] = float64(l)
-	}
-	stats, err := net.Train(rows, yf)
+	stats, err := fitNet(net, rows, labels)
 	if err != nil {
 		return nil, err
 	}
@@ -194,21 +159,9 @@ func TrainLiveRows(samples []LiveSample, cfg Config) (*Model, error) {
 			TrainStats:   stats,
 		},
 	}
-	if cfg.Quantize {
-		q, err := net.Quantize()
-		if err != nil {
-			return nil, err
-		}
-		m.qnet = q
+	if err := m.quantize(rows, nil); err != nil {
+		return nil, err
 	}
-	if cfg.Quantize8 {
-		q8, err := net.Quantize8(rows)
-		if err != nil {
-			return nil, err
-		}
-		m.qnet8 = q8
-	}
-	m.pred = m.defaultPredictor()
 	return m, nil
 }
 
@@ -218,15 +171,7 @@ func TrainLiveRows(samples []LiveSample, cfg Config) (*Model, error) {
 // copied weights. Same contract as FinetuneLive otherwise: the receiver
 // is untouched, epochs <= 0 defaults to 5, half learning rate.
 func (m *Model) FinetuneLiveRows(samples []LiveSample, epochs int) (*Model, error) {
-	rows := make([][]float64, 0, len(samples))
-	kept := make([]LiveSample, 0, len(samples))
-	for _, s := range samples {
-		if s.Row == nil {
-			continue
-		}
-		rows = append(rows, append([]float64(nil), s.Row...))
-		kept = append(kept, s)
-	}
+	rows, kept := liveRows(samples)
 	if len(rows) == 0 {
 		return nil, ErrNoReads
 	}
@@ -240,16 +185,7 @@ func (m *Model) FinetuneLiveRows(samples []LiveSample, epochs int) (*Model, erro
 	}
 	rows, labels = subsample(rows, labels, cfg.MaxTrainSamples, cfg.Seed)
 
-	net := m.net.Clone()
-	if epochs <= 0 {
-		epochs = 5
-	}
-	net.Retune(epochs, net.Config().LR/2)
-	yf := make([]float64, len(labels))
-	for i, l := range labels {
-		yf[i] = float64(l)
-	}
-	stats, err := net.Train(rows, yf)
+	net, stats, err := m.warmStart(rows, labels, epochs)
 	if err != nil {
 		return nil, err
 	}
@@ -267,21 +203,9 @@ func (m *Model) FinetuneLiveRows(samples []LiveSample, epochs int) (*Model, erro
 			TrainStats:   stats,
 		},
 	}
-	if cfg.Quantize {
-		q, err := net.Quantize()
-		if err != nil {
-			return nil, err
-		}
-		out.qnet = q
+	if err := out.quantize(rows, nil); err != nil {
+		return nil, err
 	}
-	if cfg.Quantize8 {
-		q8, err := net.Quantize8(rows)
-		if err != nil {
-			return nil, err
-		}
-		out.qnet8 = q8
-	}
-	out.pred = out.defaultPredictor()
 	return out, nil
 }
 
@@ -312,16 +236,7 @@ func (m *Model) FinetuneLive(samples []LiveSample, epochs int) (*Model, error) {
 	}
 	rows, labels = subsample(rows, labels, cfg.MaxTrainSamples, cfg.Seed)
 
-	net := m.net.Clone()
-	if epochs <= 0 {
-		epochs = 5
-	}
-	net.Retune(epochs, net.Config().LR/2)
-	yf := make([]float64, len(labels))
-	for i, l := range labels {
-		yf[i] = float64(l)
-	}
-	stats, err := net.Train(rows, yf)
+	net, stats, err := m.warmStart(rows, labels, epochs)
 	if err != nil {
 		return nil, err
 	}
@@ -340,20 +255,34 @@ func (m *Model) FinetuneLive(samples []LiveSample, epochs int) (*Model, error) {
 			TrainStats:   stats,
 		},
 	}
-	if cfg.Quantize {
-		q, err := net.Quantize()
-		if err != nil {
-			return nil, err
-		}
-		out.qnet = q
+	if err := out.quantize(rows, nil); err != nil {
+		return nil, err
 	}
-	if cfg.Quantize8 {
-		q8, err := net.Quantize8(rows)
-		if err != nil {
-			return nil, err
-		}
-		out.qnet8 = q8
-	}
-	out.pred = out.defaultPredictor()
 	return out, nil
+}
+
+// liveRows copies out the harvested samples that carry a feature row,
+// paired with their samples.
+func liveRows(samples []LiveSample) ([][]float64, []LiveSample) {
+	rows := make([][]float64, 0, len(samples))
+	kept := make([]LiveSample, 0, len(samples))
+	for _, s := range samples {
+		if s.Row != nil {
+			rows = append(rows, append([]float64(nil), s.Row...))
+			kept = append(kept, s)
+		}
+	}
+	return rows, kept
+}
+
+// warmStart fine-tunes a clone of the model's network on scaled rows for
+// epochs (default 5) at half the configured learning rate.
+func (m *Model) warmStart(rows [][]float64, labels []int, epochs int) (*nn.Network, nn.TrainStats, error) {
+	net := m.net.Clone()
+	if epochs <= 0 {
+		epochs = 5
+	}
+	net.Retune(epochs, net.Config().LR/2)
+	stats, err := fitNet(net, rows, labels)
+	return net, stats, err
 }

@@ -4,10 +4,12 @@
 //
 //	label (period-based, §3.1) → noise-filter (3 stages, §3.2) →
 //	featurize + scale (§3.3) → train the tuned NN (§3.5) →
-//	quantize for deployment (§4.1)
+//	quantize the C-export references (§4.1)
 //
 // The resulting Model makes per-I/O (or joint, §4.2) admit/decline decisions
-// in well under a microsecond using integer arithmetic.
+// through its float network. The int32 and int8 forms of §4.1 exist for
+// in-kernel deployment, which has no FPU: ExportC emits them, and the §4.1
+// experiments time them, but they do not decide here.
 package core
 
 import (
@@ -92,15 +94,15 @@ type Config struct {
 	// the model saturates well before that.
 	MaxTrainSamples int
 
-	// Quantize produces the fixed-point deployment network (§4.1). On by
-	// default in DefaultConfig.
+	// Quantize builds the int32 fixed-point network (§4.1), the reference
+	// ExportC emits. On by default in DefaultConfig. Decisions use the float
+	// network either way.
 	Quantize bool
 
-	// Quantize8 additionally builds the int8 batch engine (per-channel
-	// symmetric weight scales, activation scales calibrated on the scaled
-	// training rows) and installs it as the model's active Predictor. Off by
-	// default: the int32 ladder remains the reference deployment; flip this
-	// (or call Model.EnableInt8) to serve through the batched int8 kernel.
+	// Quantize8 additionally builds the int8 network (per-channel symmetric
+	// weight scales, activation scales calibrated on the scaled training
+	// rows), the reference for ExportC's int8 kernel. Off by default; see
+	// also Model.EnableInt8.
 	Quantize8 bool
 }
 
@@ -154,10 +156,8 @@ type Model struct {
 	qnet8  *nn.QuantNetwork8
 	report Report
 
-	// pred is the active inference engine every admission decision routes
-	// through. By default it is the highest rung of the quantization ladder
-	// the configuration built (int8 > int32 > float); SetPredictor installs
-	// a custom engine.
+	// pred is the engine admission decides through when WithPredictor
+	// swapped one in; nil means the float network.
 	pred nn.Predictor
 
 	// threshold is the calibrated decision boundary: scores at or above it
@@ -166,9 +166,7 @@ type Model struct {
 	// minority after BCE training on imbalanced data (§3.6).
 	threshold float64
 
-	iscr        *Scratch // internal scratch backing the Admit convenience path
-	rowBuf      []float64
-	fcur, fnext []float64
+	iscr *Scratch // internal scratch backing the Admit convenience path
 }
 
 // ErrNoReads is returned when the training log contains no read I/Os.
@@ -195,15 +193,7 @@ func Train(recs []iolog.Record, cfg Config) (*Model, error) {
 	if cfg.JointSize < 1 {
 		cfg.JointSize = 1
 	}
-	if cfg.Feature.Depth == 0 {
-		cfg.Feature = feature.DefaultSpec()
-	}
-	if len(cfg.Hidden) == 0 {
-		cfg.Hidden = []nn.LayerSpec{{Units: 128, Act: nn.ReLU}, {Units: 16, Act: nn.ReLU}}
-	}
-	if cfg.Output.Units == 0 {
-		cfg.Output = nn.LayerSpec{Units: 1, Act: nn.Sigmoid}
-	}
+	cfg = withDefaults(cfg)
 
 	labels, thresholds := Label(reads, cfg)
 
@@ -220,32 +210,12 @@ func Train(recs []iolog.Record, cfg Config) (*Model, error) {
 	rows, labels = subsample(rows, labels, cfg.MaxTrainSamples, cfg.Seed)
 	preprocess := time.Since(start)
 
-	width := len(rows[0])
-	loss := nn.BCE
-	if cfg.Output.Act == nn.Softmax {
-		loss = nn.CE
-	}
-	net, err := nn.New(nn.Config{
-		Inputs:    width,
-		Layers:    append(append([]nn.LayerSpec(nil), cfg.Hidden...), cfg.Output),
-		Seed:      cfg.Seed,
-		Optimizer: nn.Adam,
-		Loss:      loss,
-		LR:        cfg.LR,
-		Epochs:    cfg.Epochs,
-		Batch:     cfg.Batch,
-		PosWeight: cfg.PosWeight,
-		Patience:  6,
-	})
+	net, err := newNet(cfg, len(rows[0]))
 	if err != nil {
 		return nil, err
 	}
-	yf := make([]float64, len(labels))
-	for i, l := range labels {
-		yf[i] = float64(l)
-	}
 	trainStart := time.Now()
-	stats, err := net.Train(rows, yf)
+	stats, err := fitNet(net, rows, labels)
 	if err != nil {
 		return nil, err
 	}
@@ -267,25 +237,80 @@ func Train(recs []iolog.Record, cfg Config) (*Model, error) {
 			TrainStats:     stats,
 		},
 	}
-	if cfg.Quantize {
-		q, err := net.Quantize()
+	if err := m.quantize(rows, nil); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// withDefaults fills the feature and network shape a zero Config leaves
+// empty.
+func withDefaults(cfg Config) Config {
+	if cfg.Feature.Depth == 0 {
+		cfg.Feature = feature.DefaultSpec()
+	}
+	if len(cfg.Hidden) == 0 {
+		cfg.Hidden = []nn.LayerSpec{{Units: 128, Act: nn.ReLU}, {Units: 16, Act: nn.ReLU}}
+	}
+	if cfg.Output.Units == 0 {
+		cfg.Output = nn.LayerSpec{Units: 1, Act: nn.Sigmoid}
+	}
+	return cfg
+}
+
+// newNet builds the untrained network cfg describes for rows inputs wide.
+func newNet(cfg Config, inputs int) (*nn.Network, error) {
+	loss := nn.BCE
+	if cfg.Output.Act == nn.Softmax {
+		loss = nn.CE
+	}
+	return nn.New(nn.Config{
+		Inputs:    inputs,
+		Layers:    append(append([]nn.LayerSpec(nil), cfg.Hidden...), cfg.Output),
+		Seed:      cfg.Seed,
+		Optimizer: nn.Adam,
+		Loss:      loss,
+		LR:        cfg.LR,
+		Epochs:    cfg.Epochs,
+		Batch:     cfg.Batch,
+		PosWeight: cfg.PosWeight,
+		Patience:  6,
+	})
+}
+
+// fitNet trains net on scaled rows against 0/1 labels.
+func fitNet(net *nn.Network, rows [][]float64, labels []int) (nn.TrainStats, error) {
+	yf := make([]float64, len(labels))
+	for i, l := range labels {
+		yf[i] = float64(l)
+	}
+	return net.Train(rows, yf)
+}
+
+// quantize builds the integer reference networks the configuration asks
+// for: int32 under Config.Quantize, and int8 when act8 carries stored
+// activation scales or Config.Quantize8 is set. A fresh int8 network
+// calibrates its activation scales on calib, the scaled training rows —
+// exactly the distribution the model sees online.
+func (m *Model) quantize(calib [][]float64, act8 []float64) error {
+	if m.cfg.Quantize {
+		q, err := m.net.Quantize()
 		if err != nil {
-			return nil, fmt.Errorf("core: quantize: %w", err)
+			return fmt.Errorf("core: quantize: %w", err)
 		}
 		m.qnet = q
 	}
-	if cfg.Quantize8 {
-		// The scaled training rows double as the activation-scale
-		// calibration set: they are exactly the distribution the model
-		// will see online.
-		q8, err := net.Quantize8(rows)
-		if err != nil {
-			return nil, fmt.Errorf("core: quantize8: %w", err)
-		}
-		m.qnet8 = q8
+	var err error
+	switch {
+	case len(act8) > 0:
+		m.qnet8, err = m.net.Quantize8Scales(act8)
+	case m.cfg.Quantize8:
+		m.qnet8, err = m.net.Quantize8(calib)
 	}
-	m.pred = m.defaultPredictor()
-	return m, nil
+	if err != nil {
+		return fmt.Errorf("core: quantize8: %w", err)
+	}
+	return nil
 }
 
 // Label runs the configured labeling stage and returns labels for the read
@@ -354,13 +379,11 @@ func calibrate(net *nn.Network, rows [][]float64, labels []int) float64 {
 	if len(rows) == 0 {
 		return 0.5
 	}
-	slow := 0
 	scores := make([]float64, len(rows))
-	cur := make([]float64, net.ScratchSize())
-	next := make([]float64, net.ScratchSize())
-	for i, r := range rows {
-		scores[i] = net.PredictInto(r, cur, next)
-		slow += labels[i]
+	net.PredictBatchInto(rows, scores, nn.NewScratch(net, 1))
+	slow := 0
+	for _, l := range labels {
+		slow += l
 	}
 	sort.Float64s(scores)
 	// Threshold at the (1 - slowFrac) quantile of training scores.
@@ -426,76 +449,50 @@ func (m *Model) Spec() feature.Spec { return m.spec }
 // JointSize returns the inference granularity P.
 func (m *Model) JointSize() int { return m.cfg.JointSize }
 
-// Net exposes the underlying float network (for overhead accounting and the
-// tuning experiments).
+// Net exposes the float network — the engine the model decides through.
 func (m *Model) Net() *nn.Network { return m.net }
 
-// Quantized exposes the fixed-point network, nil if quantization is off.
+// Quantized exposes the int32 fixed-point reference network, nil if
+// quantization is off.
 func (m *Model) Quantized() *nn.QuantNetwork { return m.qnet }
 
-// Quantized8 exposes the int8 batch engine, nil unless Quantize8 was set or
-// EnableInt8 was called.
+// Quantized8 exposes the int8 reference network, nil unless Quantize8 was
+// set or EnableInt8 was called.
 func (m *Model) Quantized8() *nn.QuantNetwork8 { return m.qnet8 }
 
-// defaultPredictor returns the highest rung of the quantization ladder this
-// model carries: int8, else int32, else the float network.
-func (m *Model) defaultPredictor() nn.Predictor {
-	if m.qnet8 != nil {
-		return m.qnet8
-	}
-	if m.qnet != nil {
-		return m.qnet
-	}
-	return m.net
-}
-
-// Predictor returns the active inference engine — what AdmitInto,
-// AdmitBatchInto, Admit, and the serving layer decide through.
+// Predictor returns the engine Admit, AdmitBatchInto, Evaluate and the
+// serving layer decide through: the float network, unless this model came
+// from WithPredictor.
 func (m *Model) Predictor() nn.Predictor {
 	if m.pred == nil {
-		m.pred = m.defaultPredictor()
+		return m.net
 	}
 	return m.pred
 }
 
-// SetPredictor installs a custom inference engine; nil restores the ladder
-// default. The engine must accept this model's input width. Not safe to call
-// concurrently with inference — use WithPredictor to derive a second model
-// instead of mutating a shared one.
-func (m *Model) SetPredictor(p nn.Predictor) {
-	if p == nil {
-		p = m.defaultPredictor()
-	}
-	m.pred = p
-	m.iscr = nil // engine-specific scratch shapes may differ
-}
-
 // WithPredictor returns a shallow copy of the model that decides through p:
-// same feature spec, scaler, calibrated threshold, and networks, but an
-// independent engine and no shared scratch — the copy and the original can
-// serve concurrently. Passing nil copies with the ladder default.
+// same feature spec, scaler, calibrated threshold, and networks, but its own
+// engine and no shared scratch — the copy and the original can serve
+// concurrently. It is how a measurement times or checks the integer
+// reference networks on the admission path. Passing nil copies with the
+// float network.
 func (m *Model) WithPredictor(p nn.Predictor) *Model {
 	c := *m
 	c.iscr = nil
-	c.rowBuf, c.fcur, c.fnext = nil, nil, nil
-	if p == nil {
-		p = c.defaultPredictor()
-	}
 	c.pred = p
 	return &c
 }
 
-// EnableInt8 builds the int8 batch engine from the float network and
-// installs it as the active Predictor. Activation scales are calibrated on
-// rawCalib (raw, unscaled feature rows of the model's input width — e.g.
-// feature.Extract output; rows of any other width are skipped); with no
-// usable rows the scales fall back to conservative analytic bounds, which
-// cost int8 resolution. Models trained with Config.Quantize8 already carry
-// calibrated scales and keep them. Not safe to call concurrently with
-// inference.
+// EnableInt8 builds the int8 reference network from the float network; it
+// does not change the engine the model decides through. Activation scales
+// are calibrated on rawCalib (raw, unscaled feature rows of the model's
+// input width — e.g. feature.Extract output; rows of any other width are
+// skipped); with no usable rows the scales fall back to conservative
+// analytic bounds, which cost int8 resolution. Models that already carry
+// an int8 network keep it. Not safe for concurrent use with Quantized8 or
+// Save.
 func (m *Model) EnableInt8(rawCalib [][]float64) error {
 	if m.qnet8 != nil {
-		m.SetPredictor(m.qnet8)
 		return nil
 	}
 	width := m.net.Config().Inputs
@@ -513,8 +510,7 @@ func (m *Model) EnableInt8(rawCalib [][]float64) error {
 		return fmt.Errorf("core: quantize8: %w", err)
 	}
 	m.qnet8 = q8
-	m.cfg.Quantize8 = true // Save/Load keeps the engine choice
-	m.SetPredictor(q8)
+	m.cfg.Quantize8 = true // Save/Load keeps the int8 network
 	return nil
 }
 
@@ -525,32 +521,12 @@ func (m *Model) scale(row []float64) []float64 {
 	return m.scaler.Transform(row)
 }
 
-// Score returns P(slow) for a raw feature row (float path).
+// Score returns P(slow) for a raw feature row through the float network.
+// Goroutine-safe; it allocates, so hot paths use AdmitBatchInto.
 func (m *Model) Score(raw []float64) float64 {
 	row := append([]float64(nil), raw...)
 	m.scale(row)
-	return m.net.Infer(row)
-}
-
-// ScoreFast returns P(slow) for a raw feature row via the float network,
-// reusing the model's internal scratch buffers — the zero-allocation
-// counterpart of Score. Not safe for concurrent use (shared scratch); clone
-// the model per goroutine or use Score.
-//
-//heimdall:hotpath
-func (m *Model) ScoreFast(raw []float64) float64 {
-	if cap(m.rowBuf) < len(raw) {
-		m.rowBuf = make([]float64, len(raw))
-	}
-	row := m.rowBuf[:len(raw)]
-	copy(row, raw)
-	m.scale(row)
-	if m.fcur == nil {
-		w := m.net.ScratchSize()
-		m.fcur = make([]float64, w)
-		m.fnext = make([]float64, w)
-	}
-	return m.net.PredictInto(row, m.fcur, m.fnext)
+	return m.net.Predict(row)
 }
 
 // Threshold returns the calibrated decision boundary.
@@ -572,31 +548,25 @@ func (m *Model) SetThreshold(t float64) { m.threshold = t }
 // with inference).
 func (m *Model) WithThreshold(t float64) *Model {
 	out := *m
-	out.iscr, out.rowBuf, out.fcur, out.fnext = nil, nil, nil, nil
+	out.iscr = nil
 	out.threshold = t
 	return &out
 }
 
-// Scratch holds the per-caller buffers AdmitInto needs, making concurrent
-// inference possible on one shared *Model: the model's weights, scaler, and
-// threshold are read-only at decision time, so N goroutines each holding a
-// Scratch can call AdmitInto on the same Model without synchronization —
-// what the serving layer's shards do.
+// Scratch holds the per-caller buffers AdmitBatchInto needs, making
+// concurrent inference possible on one shared *Model: the model's weights,
+// scaler, and threshold are read-only at decision time, so N goroutines
+// each holding a Scratch can call AdmitBatchInto on the same Model without
+// synchronization — what the serving layer's shards do.
 type Scratch struct {
 	flat   []float64   // scaled feature rows, batch-major, one contiguous block
 	rows   [][]float64 // views into flat, one per staged row
 	scores []float64   // model outputs per staged row
-	ns     *nn.Scratch // the active Predictor's layer buffers
-	width  int         // feature width flat was laid out for
+	ns     *nn.Scratch // the engine's layer buffers
 }
 
-// NewScratch sizes a Scratch for single-row admission (batch of 1) against
-// the model's active Predictor.
-func (m *Model) NewScratch() *Scratch { return m.NewBatchScratch(1) }
-
 // NewBatchScratch sizes a Scratch so AdmitBatchInto can decide up to
-// maxBatch rows with zero allocations. A Scratch is bound to the Predictor
-// that was active when it was created — SetPredictor invalidates it.
+// maxBatch rows with zero allocations through this model's engine.
 func (m *Model) NewBatchScratch(maxBatch int) *Scratch {
 	if maxBatch < 1 {
 		maxBatch = 1
@@ -608,41 +578,15 @@ func (m *Model) NewBatchScratch(maxBatch int) *Scratch {
 		rows:   make([][]float64, 0, maxBatch),
 		scores: make([]float64, maxBatch),
 		ns:     nn.NewScratch(m.Predictor(), maxBatch),
-		width:  w,
 	}
-}
-
-// AdmitInto decides one I/O (or one joint group) from a raw feature row
-// through the model's active Predictor, exactly like Admit, but with
-// caller-provided scratch instead of the model's internal buffers. The input
-// is not modified. Safe for concurrent use with per-goroutine Scratch; zero
-// allocations once the scratch has grown to the feature width.
-//
-//heimdall:hotpath
-func (m *Model) AdmitInto(raw []float64, s *Scratch) bool {
-	if cap(s.flat) < len(raw) {
-		s.flat = make([]float64, 0, len(raw))
-	}
-	s.flat = append(s.flat[:0], raw...)
-	m.scale(s.flat)
-	if cap(s.rows) < 1 {
-		s.rows = make([][]float64, 0, 1)
-	}
-	s.rows = append(s.rows[:0], s.flat)
-	if len(s.scores) < 1 {
-		s.scores = make([]float64, 1)
-	}
-	m.pred.PredictBatchInto(s.rows, s.scores[:1], s.ns)
-	return s.scores[0] < m.threshold
 }
 
 // AdmitBatchInto decides a batch of raw feature rows in one pass through the
-// active Predictor's batch kernel, writing one verdict per row into
-// verdicts[:len(raws)] (true = admit). Inputs are not modified. Verdicts are
-// bit-identical to calling AdmitInto row by row — integer-quantized engines
-// are exact at any batch shape — which is what lets the serving layer batch
-// without changing answers. Zero allocations once s (from NewBatchScratch)
-// has grown to the batch shape.
+// model's engine, writing one verdict per row into verdicts[:len(raws)]
+// (true = admit). Inputs are not modified. Every engine scores each row
+// independently, so verdicts are bit-identical at any batch size — what
+// lets the serving layer batch without changing answers. Zero allocations
+// once s (from NewBatchScratch) has grown to the batch shape.
 //
 //heimdall:hotpath
 func (m *Model) AdmitBatchInto(raws [][]float64, verdicts []bool, s *Scratch) {
@@ -674,23 +618,26 @@ func (m *Model) AdmitBatchInto(raws [][]float64, verdicts []bool, s *Scratch) {
 		m.scale(row)
 		s.rows = append(s.rows, row)
 	}
-	m.pred.PredictBatchInto(s.rows, s.scores[:n], s.ns)
+	m.Predictor().PredictBatchInto(s.rows, s.scores[:n], s.ns)
 	for i := 0; i < n; i++ {
 		verdicts[i] = s.scores[i] < m.threshold
 	}
 }
 
-// Admit decides one I/O (or one joint group) from a raw feature row through
-// the model's active Predictor: true = admit, false = decline and reroute.
-// The input is not modified. Not safe for concurrent use (shared internal
-// scratch); use AdmitInto with a per-goroutine Scratch instead.
+// Admit decides one I/O (or one joint group) from a raw feature row: true =
+// admit, false = decline and reroute. It is AdmitBatchInto on a batch of
+// one. The input is not modified. Not safe for concurrent use (shared
+// internal scratch); concurrent callers use AdmitBatchInto with a Scratch
+// each.
 //
 //heimdall:hotpath
 func (m *Model) Admit(raw []float64) bool {
 	if m.iscr == nil {
-		m.iscr = m.NewScratch()
+		m.iscr = m.NewBatchScratch(1)
 	}
-	return m.AdmitInto(raw, m.iscr)
+	var v [1]bool
+	m.AdmitBatchInto([][]float64{raw}, v[:], m.iscr)
+	return v[0]
 }
 
 // Features assembles the raw (unscaled) online feature row for a single I/O.
@@ -712,18 +659,24 @@ func (m *Model) JointFeatures(queueLen int, sizes []int32, hist *feature.Window)
 // Evaluate scores a labeled test log and returns the five-metric report
 // (§6.4). Joint models group the test samples the same way training did.
 func (m *Model) Evaluate(reads []iolog.Record, refLabels []int) metrics.Report {
+	scores, labels := m.evalScores(reads, refLabels)
+	return metrics.EvaluateAt(scores, labels, m.threshold)
+}
+
+// evalScores scores every (grouped) read of a test log through the model's
+// engine and returns the scores with their grouped labels.
+func (m *Model) evalScores(reads []iolog.Record, refLabels []int) ([]float64, []int) {
 	rows := feature.Extract(reads, m.spec)
 	keep := make([]bool, len(rows))
 	for i := range keep {
 		keep[i] = true
 	}
 	rows, labels := assemble(rows, reads, refLabels, keep, m.cfg)
-	scores := make([]float64, len(rows))
-	cur := make([]float64, m.net.ScratchSize())
-	next := make([]float64, m.net.ScratchSize())
-	for i, r := range rows {
+	for _, r := range rows {
 		m.scale(r)
-		scores[i] = m.net.PredictInto(r, cur, next)
 	}
-	return metrics.EvaluateAt(scores, labels, m.threshold)
+	scores := make([]float64, len(rows))
+	p := m.Predictor()
+	p.PredictBatchInto(rows, scores, nn.NewScratch(p, 1))
+	return scores, labels
 }

@@ -64,10 +64,11 @@ func TestQuantizedDecisionsAgree(t *testing.T) {
 	}
 	reads := iolog.Reads(log)
 	rows := feature.Extract(reads[:500], m.Spec())
+	q := m.WithPredictor(m.Quantized())
 	agree := 0
 	for _, raw := range rows {
-		admitQ := m.Admit(raw)
-		admitF := m.Score(raw) < m.Threshold()
+		admitQ := q.Admit(raw)
+		admitF := m.Admit(raw)
 		if admitQ == admitF {
 			agree++
 		}

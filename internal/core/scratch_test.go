@@ -8,34 +8,10 @@ import (
 	"repro/internal/feature"
 )
 
-// TestAdmitIntoMatchesAdmit pins the concurrent-safe scratch path to the
-// model's internal-buffer path over a spread of live feature rows, for both
-// the quantized and float-only deployments.
-func TestAdmitIntoMatchesAdmit(t *testing.T) {
-	for _, quantize := range []bool{true, false} {
-		_, log := testLog(t, 11, 3*time.Second)
-		cfg := quickCfg(11)
-		cfg.Quantize = quantize
-		m, err := Train(log, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scr := m.NewScratch()
-		win := feature.NewWindow(m.Spec().Depth)
-		for i := 0; i < 500; i++ {
-			raw := m.Features(i%24, int32(4096*(1+i%8)), win)
-			if got, want := m.AdmitInto(raw, scr), m.Admit(raw); got != want {
-				t.Fatalf("quantize=%v row %d: AdmitInto %v != Admit %v", quantize, i, got, want)
-			}
-			win.Push(feature.Hist{Latency: float64(80000 + 1000*i), QueueLen: float64(i % 24), Thpt: 50})
-		}
-	}
-}
-
-// TestAdmitIntoConcurrent drives one shared model from several goroutines,
-// each with its own Scratch — the serving-shard usage. Run under -race this
-// pins that model state really is read-only at decision time.
-func TestAdmitIntoConcurrent(t *testing.T) {
+// TestAdmitBatchIntoConcurrent drives one shared model from several
+// goroutines, each with its own Scratch — the serving-shard usage. Run under
+// -race this pins that model state really is read-only at decision time.
+func TestAdmitBatchIntoConcurrent(t *testing.T) {
 	_, log := testLog(t, 12, 3*time.Second)
 	m, err := Train(log, quickCfg(12))
 	if err != nil {
@@ -55,10 +31,11 @@ func TestAdmitIntoConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			scr := m.NewScratch()
+			scr := m.NewBatchScratch(1)
+			var got [1]bool
 			for i, raw := range rows {
-				if got := m.AdmitInto(raw, scr); got != want[i] {
-					t.Errorf("row %d: concurrent AdmitInto %v != sequential %v", i, got, want[i])
+				if m.AdmitBatchInto([][]float64{raw}, got[:], scr); got[0] != want[i] {
+					t.Errorf("row %d: concurrent AdmitBatchInto %v != sequential %v", i, got[0], want[i])
 					return
 				}
 			}
@@ -67,23 +44,22 @@ func TestAdmitIntoConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestAdmitIntoZeroAlloc pins 0 allocs/op on the scratch decide path once
-// the scratch row has grown to the feature width.
-func TestAdmitIntoZeroAlloc(t *testing.T) {
+// TestAdmitZeroAlloc pins 0 allocs/op on the one-row decide path once the
+// model's internal scratch exists.
+func TestAdmitZeroAlloc(t *testing.T) {
 	_, log := testLog(t, 13, 3*time.Second)
 	m, err := Train(log, quickCfg(13))
 	if err != nil {
 		t.Fatal(err)
 	}
-	scr := m.NewScratch()
 	win := feature.NewWindow(m.Spec().Depth)
 	win.Push(feature.Hist{Latency: 95000, QueueLen: 4, Thpt: 60})
 	raw := m.Features(3, 8192, win)
-	var sink bool
+	sink := m.Admit(raw) // build the internal scratch outside the measurement
 	if a := testing.AllocsPerRun(200, func() {
-		sink = m.AdmitInto(raw, scr)
+		sink = m.Admit(raw)
 	}); a != 0 {
-		t.Fatalf("AdmitInto allocates %.1f per run", a)
+		t.Fatalf("Admit allocates %.1f per run", a)
 	}
 	_ = sink
 }
@@ -97,16 +73,17 @@ func TestSetThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scr := m.NewScratch()
+	scr := m.NewBatchScratch(1)
 	win := feature.NewWindow(m.Spec().Depth)
 	raw := m.Features(2, 4096, win)
+	var v [1]bool
 
 	m.SetThreshold(2)
-	if m.Threshold() != 2 || !m.AdmitInto(raw, scr) || !m.Admit(raw) {
+	if m.AdmitBatchInto([][]float64{raw}, v[:], scr); m.Threshold() != 2 || !v[0] || !m.Admit(raw) {
 		t.Fatal("threshold 2 should admit every score in [0,1]")
 	}
 	m.SetThreshold(-1)
-	if m.AdmitInto(raw, scr) || m.Admit(raw) {
+	if m.AdmitBatchInto([][]float64{raw}, v[:], scr); v[0] || m.Admit(raw) {
 		t.Fatal("threshold -1 should decline every score in [0,1]")
 	}
 }

@@ -52,9 +52,8 @@ func (m *Model) Save(w io.Writer) error {
 	return nil
 }
 
-// Load deserializes a model saved with Save and rebuilds the inference
-// paths (including the quantized network when the configuration asks for
-// it).
+// Load deserializes a model saved with Save and rebuilds the integer
+// reference networks the configuration and stored scales ask for.
 func Load(r io.Reader) (*Model, error) {
 	var f modelFile
 	if err := gob.NewDecoder(r).Decode(&f); err != nil {
@@ -78,20 +77,8 @@ func Load(r io.Reader) (*Model, error) {
 	if f.Cfg.Feature.Depth == 0 {
 		m.spec = feature.DefaultSpec()
 	}
-	if f.Cfg.Quantize {
-		q, err := net.Quantize()
-		if err != nil {
-			return nil, fmt.Errorf("core: load model: %w", err)
-		}
-		m.qnet = q
+	if err := m.quantize(nil, f.Act8); err != nil {
+		return nil, fmt.Errorf("core: load model: %w", err)
 	}
-	if len(f.Act8) > 0 {
-		q8, err := net.Quantize8Scales(f.Act8)
-		if err != nil {
-			return nil, fmt.Errorf("core: load model: %w", err)
-		}
-		m.qnet8 = q8
-	}
-	m.pred = m.defaultPredictor()
 	return m, nil
 }

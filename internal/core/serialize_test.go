@@ -176,7 +176,8 @@ func TestCGenMatchesGo(t *testing.T) {
 		// which is what the C code reproduces.
 		row := append([]float64(nil), raw...)
 		m.scale(row)
-		got := m.qnet.Predict(row)
+		w := m.qnet.ScratchSize()
+		got := m.qnet.PredictInto(row, make([]int64, w), make([]int64, w))
 		emu := cScore(raw)
 		if math.Abs(got-emu) > 1e-6 {
 			t.Fatalf("row %d: C emulation %v vs quantized %v", i, emu, got)

@@ -11,8 +11,8 @@ import (
 // Ablation measures the repository's own design choices (the list DESIGN.md
 // commits to), beyond the paper's figures:
 //
-//   - quantization: decision agreement and score drift between the float
-//     and fixed-point inference paths;
+//   - quantization: decision agreement between the float engine and the
+//     int32 fixed-point reference network;
 //   - threshold calibration: FNR/FPR at the calibrated operating point vs
 //     the naive 0.5 cut;
 //   - data sampling: accuracy at the 50k training-row cap vs a 10k cap;
@@ -37,10 +37,11 @@ func Ablation(scale Scale) Table {
 			continue
 		}
 		rows := feature.Extract(d.TestReads, m.Spec())
+		q := m.WithPredictor(m.Quantized())
 		match, total := 0, 0
 		for _, raw := range rows {
-			qd := m.Admit(raw)
-			fd := m.Score(raw) < m.Threshold()
+			qd := q.Admit(raw)
+			fd := m.Admit(raw)
 			if qd == fd {
 				match++
 			}
@@ -54,7 +55,7 @@ func Ablation(scale Scale) Table {
 		}
 		rocs = append(rocs, m.Evaluate(d.TestReads, d.TestGT).ROCAUC)
 	}
-	t.Rows = append(t.Rows, Row{"quantized (default)", []float64{mean(rocs), 0, 0, mean(agree)}})
+	t.Rows = append(t.Rows, Row{"quantized (int32 reference)", []float64{mean(rocs), 0, 0, mean(agree)}})
 
 	// Threshold calibration vs naive 0.5.
 	var calFNR, calFPR, naiveFNR, naiveFPR []float64

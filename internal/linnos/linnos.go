@@ -41,7 +41,7 @@ type Model struct {
 	net *nn.Network
 	q   *nn.QuantNetwork
 
-	scratchA, scratchB []int64
+	scr *nn.Scratch // Admit's int32 layer buffers
 }
 
 // Train fits LinnOS on a collected log: cutoff labeling, digitized features,
@@ -76,11 +76,7 @@ func Train(recs []iolog.Record, seed int64) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Model{
-		net: net, q: q,
-		scratchA: make([]int64, q.ScratchSize()),
-		scratchB: make([]int64, q.ScratchSize()),
-	}, nil
+	return &Model{net: net, q: q, scr: nn.NewScratch(q, 1)}, nil
 }
 
 // subsample caps the training set uniformly at random, matching the
@@ -181,13 +177,18 @@ func InferencesFor(size int32) int {
 }
 
 // Score returns P(slow) for a digitized feature row.
-func (m *Model) Score(row []float64) float64 { return m.net.Infer(row) }
+func (m *Model) Score(row []float64) float64 { return m.net.Predict(row) }
 
-// Admit decides one page: true = admit. Callers invoke it once per page of
-// the I/O; any slow page declines the whole request. Not safe for concurrent
-// use (shared scratch).
+// Admit decides one page through the int32 network, as LinnOS does in the
+// kernel: true = admit. Callers invoke it once per page of the I/O; any slow
+// page declines the whole request. The softmax output puts P(slow) above
+// 0.5 exactly when the slow logit exceeds the fast one — the logits are
+// integers at scale 2^20, so no rounding sits between the two. Not safe
+// for concurrent use (shared scratch).
 func (m *Model) Admit(row []float64) bool {
-	return !m.q.DecideInto(row, m.scratchA, m.scratchB)
+	var p [1]float64
+	m.q.PredictBatchInto([][]float64{row}, p[:], m.scr)
+	return p[0] <= 0.5
 }
 
 // AdmitIO runs the per-page protocol for a whole I/O and reports the
@@ -211,7 +212,7 @@ func (m *Model) Evaluate(reads []iolog.Record, refLabels []int) metrics.Report {
 	rows := Extract(reads)
 	scores := make([]float64, len(rows))
 	for i, r := range rows {
-		scores[i] = m.net.Infer(r)
+		scores[i] = m.net.Predict(r)
 	}
 	return metrics.Evaluate(scores, refLabels)
 }

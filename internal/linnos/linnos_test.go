@@ -131,3 +131,21 @@ func TestScoreAdmitConsistency(t *testing.T) {
 		t.Fatalf("quantized admit %v vs float score %.3f", admit, score)
 	}
 }
+
+// TestAdmitCountPinned pins LinnOS's admit count on a seeded trace, so a
+// change to its int32 decide path that moves any verdict shows up here.
+func TestAdmitCountPinned(t *testing.T) {
+	m, _ := trainSmall(t)
+	tr := trace.Generate(trace.MSRStyle(3, 2*time.Second))
+	log := iolog.Collect(tr, ssd.New(ssd.Samsung970Pro(), 3))
+	rows := Extract(iolog.Reads(log))
+	admits := 0
+	for _, r := range rows {
+		if m.Admit(r) {
+			admits++
+		}
+	}
+	if len(rows) != 12329 || admits != 11759 {
+		t.Fatalf("%d rows, %d admitted; want 12329 rows, 11759 admitted", len(rows), admits)
+	}
+}

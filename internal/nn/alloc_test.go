@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func allocNet(t testing.TB, layers []LayerSpec) *Network {
 	t.Helper()
@@ -14,8 +11,26 @@ func allocNet(t testing.TB, layers []LayerSpec) *Network {
 	return net
 }
 
-// TestPredictIntoMatchesInfer pins the zero-alloc path to the allocating
-// reference across every supported output design.
+// predictOne scores one row through p's batch kernel with fresh scratch.
+func predictOne(p Predictor, x []float64) float64 {
+	var out [1]float64
+	p.PredictBatchInto([][]float64{x}, out[:], NewScratch(p, 1))
+	return out[0]
+}
+
+// trainForward scores x through the training-side forward pass (the layer
+// buffers backprop reads), the reference inference must reproduce.
+func trainForward(n *Network, x []float64) float64 {
+	a := x
+	for _, l := range n.layers {
+		a = l.forward(a)
+	}
+	return a[len(a)-1]
+}
+
+// TestPredictIntoMatchesInfer pins the zero-alloc inference kernel to the
+// cold Predict call and to the training forward pass across every supported
+// output design.
 func TestPredictIntoMatchesInfer(t *testing.T) {
 	shapes := [][]LayerSpec{
 		{{128, ReLU}, {16, ReLU}, {1, Sigmoid}},
@@ -31,12 +46,11 @@ func TestPredictIntoMatchesInfer(t *testing.T) {
 		cur := make([]float64, net.ScratchSize())
 		next := make([]float64, net.ScratchSize())
 		got := net.PredictInto(x, cur, next)
-		want := net.Infer(x)
-		if got != want {
-			t.Fatalf("%v: PredictInto %v != Infer %v", shape, got, want)
+		if want := net.Predict(x); got != want {
+			t.Fatalf("%v: PredictInto %v != Predict %v", shape, got, want)
 		}
-		if fwd := net.Predict(x); math.Abs(fwd-got) > 1e-12 {
-			t.Fatalf("%v: Forward-based Predict %v != PredictInto %v", shape, fwd, got)
+		if fwd := trainForward(net, x); fwd != got {
+			t.Fatalf("%v: training forward pass %v != PredictInto %v", shape, fwd, got)
 		}
 	}
 }
@@ -74,13 +88,7 @@ func TestQuantPredictIntoZeroAlloc(t *testing.T) {
 	}); a != 0 {
 		t.Fatalf("quantized PredictInto allocates %.1f per run", a)
 	}
-	var decided bool
-	if a := testing.AllocsPerRun(200, func() {
-		decided = q.DecideInto(x, cur, next)
-	}); a != 0 {
-		t.Fatalf("DecideInto allocates %.1f per run", a)
-	}
-	_, _ = sink, decided
+	_ = sink
 }
 
 // TestPredictBatchIntoZeroAlloc asserts every Predictor's batch entry point

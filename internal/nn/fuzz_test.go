@@ -44,8 +44,8 @@ func FuzzQuantizedInference(f *testing.F) {
 	f.Add(1.0, 1.0, 1.0, 1.0)
 	f.Fuzz(func(t *testing.T, a, b, c, d float64) {
 		x := []float64{clamp01f(a), clamp01f(b), clamp01f(c), clamp01f(d)}
-		pf := net.Infer(x)
-		pq := q.Predict(x)
+		pf := net.Predict(x)
+		pq := predictOne(q, x)
 		if math.IsNaN(pf) || math.IsNaN(pq) || pf < 0 || pf > 1 || pq < 0 || pq > 1 {
 			t.Fatalf("non-probability output: float %v quant %v for %v", pf, pq, x)
 		}

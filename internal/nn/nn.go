@@ -204,10 +204,10 @@ type layer struct {
 	mw, vw, mb, vb []float64
 }
 
-// Network is a trained or trainable feed-forward network. It is not safe
-// for concurrent Train; Forward/Predict are safe concurrently after
-// training only if each goroutine uses its own clone (training buffers are
-// reused). Use Infer for a goroutine-safe forward pass.
+// Network is a trained or trainable feed-forward network. Train is not safe
+// for concurrent use (it reuses per-layer buffers); once trained, Predict,
+// PredictInto and PredictBatchInto are goroutine-safe with per-caller
+// scratch.
 type Network struct {
 	cfg    Config
 	layers []*layer
@@ -376,26 +376,6 @@ func softmax(z, out []float64) {
 	}
 }
 
-// Forward runs one forward pass reusing internal buffers (not
-// goroutine-safe). The returned slice is owned by the network.
-func (n *Network) Forward(x []float64) []float64 {
-	a := x
-	for _, l := range n.layers {
-		a = l.forward(a)
-	}
-	return a
-}
-
-// Predict returns the probability of the positive (slow) class: the single
-// sigmoid output, or the second softmax output for 2-class networks.
-func (n *Network) Predict(x []float64) float64 {
-	out := n.Forward(x)
-	if len(out) == 1 {
-		return out[0]
-	}
-	return out[len(out)-1]
-}
-
 // ScratchSize returns the length of the scratch buffers PredictInto needs:
 // the widest layer of the network.
 func (n *Network) ScratchSize() int {
@@ -443,9 +423,11 @@ func (n *Network) PredictInto(x []float64, cur, next []float64) float64 {
 	return in[len(in)-1]
 }
 
-// Infer is a goroutine-safe forward pass that allocates its own buffers.
-// Hot loops should allocate scratch once and call PredictInto instead.
-func (n *Network) Infer(x []float64) float64 {
+// Predict returns the probability of the positive (slow) class: the single
+// sigmoid output, or the second softmax output for 2-class networks. It is
+// the cold, goroutine-safe call — it allocates its own scratch; hot loops
+// allocate scratch once and call PredictInto or PredictBatchInto instead.
+func (n *Network) Predict(x []float64) float64 {
 	w := n.ScratchSize()
 	return n.PredictInto(x, make([]float64, w), make([]float64, w))
 }

@@ -1,23 +1,18 @@
 package nn
 
-// Predictor is the unified inference interface over the quantization ladder.
-// All three deployment forms implement it:
+// Predictor is the batch inference interface the admission path decides
+// through. Three networks implement it:
 //
-//   - *Network: float64 reference arithmetic (training-side path),
-//   - *QuantNetwork: int32 ×1024 fixed point, one shift per hidden layer,
-//   - *QuantNetwork8: int8 weights with per-layer symmetric scales and a
-//     batch-major tiled kernel.
+//   - *Network: float64 arithmetic, the engine every core.Model decides
+//     with;
+//   - *QuantNetwork: int32 ×1024 fixed point, one shift per hidden layer —
+//     the §4.1 kernel form, kept as the C-export reference;
+//   - *QuantNetwork8: int8 weights with per-channel symmetric scales and a
+//     batch-major tiled kernel, also a C-export reference.
 //
-// Callers that held a concrete network type keep working — the old
-// row-oriented entry points (Network.PredictInto, QuantNetwork.PredictInto)
-// remain the underlying kernels — but new code should program against
-// Predictor so an engine swap (int32 → int8, or an experimental predictor)
-// needs no call-site changes.
+// Callers program against Predictor so a measurement harness can time an
+// engine, or wrap one, without call-site changes.
 type Predictor interface {
-	// Predict returns P(slow) for one feature-scaled row, allocating its
-	// own scratch — the convenience path for cold callers.
-	Predict(x []float64) float64
-
 	// PredictBatchInto scores a batch of feature-scaled rows into
 	// out[:len(xs)] using caller-provided scratch. Implementations allocate
 	// nothing once the scratch has grown to the batch shape, so hot loops
@@ -34,7 +29,7 @@ type Predictor interface {
 	MemoryBytes() int
 }
 
-// Compile-time checks: every rung of the ladder is a Predictor.
+// Compile-time checks: every network form is a Predictor.
 var (
 	_ Predictor = (*Network)(nil)
 	_ Predictor = (*QuantNetwork)(nil)
@@ -42,24 +37,24 @@ var (
 )
 
 // Scratch holds the per-caller buffers any Predictor needs. One Scratch
-// serves any engine (it carries buffers for every rung of the ladder), so a
+// serves any engine (it carries buffers for every network form), so a
 // caller that swaps predictors at runtime keeps its scratch. Kernels grow
 // the buffers on demand; undersizing costs a one-time allocation, never
 // correctness.
 type Scratch struct {
-	// float ladder: layer ping-pong buffers
+	// float network: layer ping-pong buffers
 	//
 	//heimdall:owner Network.PredictBatchInto,NewScratch
 	fa, fb []float64
-	// int32 ladder: layer ping-pong buffers
+	// int32 network: layer ping-pong buffers
 	//
 	//heimdall:owner QuantNetwork.PredictBatchInto,NewScratch
 	qa, qb []int64
-	// int8 ladder: batch-major activation planes (width × batch)
+	// int8 network: batch-major activation planes (width × batch)
 	//
 	//heimdall:owner QuantNetwork8.PredictBatchInto,NewScratch
 	a8, b8 []int8
-	// int8 ladder: output-layer accumulators for one row
+	// int8 network: output-layer accumulators for one row
 	//
 	//heimdall:owner QuantNetwork8.PredictBatchInto,NewScratch
 	acc []int32
@@ -84,8 +79,8 @@ func NewScratch(p Predictor, maxBatch int) *Scratch {
 }
 
 // PredictBatchInto implements Predictor for the float network: a row loop
-// over the PredictInto kernel. The float path is the training-side reference
-// arithmetic — it gains nothing from tiling, so no batched kernel exists.
+// over the PredictInto kernel. Each row is scored independently, so the
+// result is bit-identical at any batch size or order.
 //
 //heimdall:hotpath
 func (n *Network) PredictBatchInto(xs [][]float64, out []float64, s *Scratch) {
@@ -99,7 +94,7 @@ func (n *Network) PredictBatchInto(xs [][]float64, out []float64, s *Scratch) {
 	}
 }
 
-// PredictBatchInto implements Predictor for the int32 ladder: a row loop
+// PredictBatchInto implements Predictor for the int32 network: a row loop
 // over the PredictInto kernel. Integer arithmetic is exact, so this is
 // bit-identical to scoring the rows one at a time in any order.
 //

@@ -19,10 +19,11 @@ type quantLayer struct {
 	b       []int64 // scale 2^20 (weight scale * activation scale)
 }
 
-// QuantNetwork is the quantized deployment form of a Network: int32
-// weights, integer accumulation, one shift per layer. It allocates nothing
-// per inference when used with PredictInto and is safe for concurrent use
-// with per-goroutine scratch buffers.
+// QuantNetwork is the §4.1 fixed-point form of a Network: int32 weights,
+// integer accumulation, one shift per layer — the arithmetic a kernel
+// without an FPU runs, and the reference ExportC's C kernel matches. It
+// allocates nothing per inference when used with PredictInto and is safe
+// for concurrent use with per-goroutine scratch buffers.
 type QuantNetwork struct {
 	inputs int
 	layers []quantLayer
@@ -60,17 +61,9 @@ func (n *Network) Quantize() (*QuantNetwork, error) {
 // ScratchSize returns the length of the scratch buffers PredictInto needs.
 func (q *QuantNetwork) ScratchSize() int { return q.maxw }
 
-// Predict runs a quantized forward pass, allocating scratch internally.
-func (q *QuantNetwork) Predict(x []float64) float64 {
-	a := make([]int64, q.maxw)
-	b := make([]int64, q.maxw)
-	return q.PredictInto(x, a, b)
-}
-
 // PredictInto runs a quantized forward pass using caller-provided scratch
-// slices (each at least ScratchSize long). This is the sub-microsecond
-// deployment path: integer multiply-accumulate, one shift per layer, one
-// float sigmoid at the end.
+// slices (each at least ScratchSize long): integer multiply-accumulate, one
+// shift per layer, one float sigmoid at the end.
 //
 //heimdall:hotpath
 func (q *QuantNetwork) PredictInto(x []float64, cur, next []int64) float64 {
@@ -127,57 +120,6 @@ func (q *QuantNetwork) PredictInto(x []float64, cur, next []int64) float64 {
 	default:
 		return float64(cur[0]) / outScale
 	}
-}
-
-// DecideInto returns the binary admit/decline decision without computing the
-// sigmoid: for a single sigmoid output, P >= 0.5 iff the pre-activation is
-// non-negative, so the decision needs integer arithmetic only.
-//
-// Deprecated: kept one release for callers that hard-wire the 0.5 boundary.
-// Decide through the Predictor interface (PredictBatchInto against a
-// calibrated threshold) instead — the deployed models do not use 0.5.
-//
-//heimdall:hotpath
-func (q *QuantNetwork) DecideInto(x []float64, cur, next []int64) bool {
-	for i, v := range x {
-		cur[i] = int64(v*QuantScale + 0.5)
-	}
-	width := len(x)
-	for li := range q.layers {
-		l := &q.layers[li]
-		for o := 0; o < l.out; o++ {
-			acc := l.b[o]
-			row := l.w[o*l.in : (o+1)*l.in]
-			for i := 0; i < width; i++ {
-				acc += int64(row[i]) * cur[i]
-			}
-			if li < len(q.layers)-1 {
-				switch l.act {
-				case ReLU:
-					if acc < 0 {
-						acc = 0
-					}
-				case LeakyReLU:
-					if acc < 0 {
-						acc /= 100
-					}
-				case PReLU:
-					if acc < 0 {
-						acc /= 4
-					}
-				}
-				acc >>= quantShift
-			}
-			next[o] = acc
-		}
-		cur, next = next, cur
-		width = l.out
-	}
-	out := q.layers[len(q.layers)-1]
-	if out.act == Softmax && out.out == 2 {
-		return cur[1] > cur[0] // P(slow) > P(fast)
-	}
-	return cur[0] >= 0 // sigmoid(z) >= 0.5 iff z >= 0
 }
 
 // ParamCount mirrors Network.ParamCount for the quantized form.

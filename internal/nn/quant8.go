@@ -36,8 +36,8 @@ type quant8Layer struct {
 // forward pass that decides a whole micro-batch in one cache-friendly
 // sweep. Everything up to the final dequant is exact integer arithmetic
 // evaluated independently per (row, neuron), so results are bit-identical
-// regardless of batch shape — the property the serving layer's determinism
-// contract relies on.
+// regardless of batch shape, on any platform — the property ExportC's C
+// kernel is checked against.
 type QuantNetwork8 struct {
 	inputs    int
 	layers    []quant8Layer
@@ -252,15 +252,6 @@ func (q *QuantNetwork8) MemoryBytes() int {
 		mult += len(l.m) + len(l.mq)
 	}
 	return w + 4*b + 8*mult + 32*len(q.layers) + 6*q.maxw
-}
-
-// Predict runs one row through the batch kernel with freshly allocated
-// scratch — the cold-path convenience entry of the Predictor interface.
-func (q *QuantNetwork8) Predict(x []float64) float64 {
-	var out [1]float64
-	xs := [][]float64{x}
-	q.PredictBatchInto(xs, out[:], NewScratch(q, 1))
-	return out[0]
 }
 
 // PredictBatchInto scores a whole micro-batch in one sweep. Layout: int8

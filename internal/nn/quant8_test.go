@@ -80,10 +80,6 @@ func TestQuant8BatchMatchesRow(t *testing.T) {
 				}
 			}
 		}
-		// Predict (the Predictor convenience path) is the same kernel.
-		if p := q.Predict(rows[0]); p != single[0] {
-			t.Fatalf("%v: Predict %v != batch-of-1 %v", shape, p, single[0])
-		}
 	}
 }
 
@@ -100,7 +96,7 @@ func TestQuant8CloseToFloat(t *testing.T) {
 	q.PredictBatchInto(rows, got, s)
 	worst, mean := 0.0, 0.0
 	for i, r := range rows {
-		pf := net.Infer(r)
+		pf := net.Predict(r)
 		if math.IsNaN(got[i]) || got[i] < 0 || got[i] > 1 {
 			t.Fatalf("row %d: non-probability int8 output %v", i, got[i])
 		}

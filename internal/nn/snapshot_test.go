@@ -42,7 +42,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	probe := [][]float64{{0.2, 0.8, 0.5}, {0.9, 0.1, 0.3}, {0, 0, 0}}
 	for _, x := range probe {
-		if net.Infer(x) != back.Infer(x) {
+		if net.Predict(x) != back.Predict(x) {
 			t.Fatalf("inference diverged after round trip at %v", x)
 		}
 	}
@@ -56,7 +56,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, x := range probe {
-		if q1.Predict(x) != q2.Predict(x) {
+		if predictOne(q1, x) != predictOne(q2, x) {
 			t.Fatalf("quantized inference diverged at %v", x)
 		}
 	}
@@ -148,9 +148,9 @@ func TestReadSnapshotFormatErrors(t *testing.T) {
 func TestSnapshotIsACopy(t *testing.T) {
 	net := trainedNet(t)
 	snap := net.Snapshot()
-	before := net.Infer([]float64{0.5, 0.5, 0.5})
+	before := net.Predict([]float64{0.5, 0.5, 0.5})
 	snap.Weights[0][0] += 100 // mutate the snapshot
-	after := net.Infer([]float64{0.5, 0.5, 0.5})
+	after := net.Predict([]float64{0.5, 0.5, 0.5})
 	if before != after {
 		t.Fatal("snapshot shares storage with the live network")
 	}

@@ -205,9 +205,10 @@ func TestServeDeterminism(t *testing.T) {
 }
 
 // TestServeDeterminismInt8 re-pins the determinism contract with the int8
-// batch engine active: integer arithmetic makes the batched kernel exact at
-// any batch shape, so verdicts stay byte-identical across shard counts and
-// batch sizes even on the quantized fast path.
+// reference network pinned as the engine through WithPredictor: integer
+// arithmetic makes its batched kernel exact at any batch shape, so verdicts
+// stay byte-identical across shard counts and batch sizes on any engine the
+// server is handed.
 func TestServeDeterminismInt8(t *testing.T) {
 	const devs, opsPer = 4, 150
 	for _, joint := range []int{1, 3} {
@@ -221,13 +222,14 @@ func TestServeDeterminismInt8(t *testing.T) {
 		if joint > 1 {
 			cfg.JointSize = joint
 		}
-		m, err := core.Train(log, cfg)
+		trained, err := core.Train(log, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Quantized8() == nil || m.Predictor() != m.Quantized8() {
-			t.Fatal("int8 engine not active")
+		if trained.Quantized8() == nil {
+			t.Fatal("Quantize8 set but no int8 network built")
 		}
+		m := trained.WithPredictor(trained.Quantized8())
 		const q = 8192
 		ref := decisionTrace(t, m, Config{Shards: 1, MaxBatch: 1, QueueLen: q, GroupTimeout: time.Minute}, devs, opsPer, joint)
 		for _, scfg := range []Config{

@@ -87,7 +87,7 @@ type shard struct {
 	verdicts []bool
 
 	// scratch is rebuilt when the published model changes (its size
-	// depends on the network architecture and active Predictor).
+	// depends on the network architecture and the model's engine).
 	//
 	//heimdall:owner run
 	scrFor *servingModel

@@ -1,23 +1,22 @@
 package heimdall
 
-// Façade exports for the unified inference engine API: every rung of the
-// quantization ladder — the float network, the x1024 int32 fixed-point
-// network, and the batched int8 engine — implements one Predictor
-// interface, and a Model decides through whichever Predictor is active.
-// Admission callers (Admit, AdmitInto, AdmitBatchInto, the serving layer,
-// HeimdallPolicy) never name a concrete engine.
+// Façade exports for the inference engine API: the float network, the x1024
+// int32 fixed-point network, and the batched int8 network all implement one
+// Predictor interface. A Model decides through its float network; the two
+// integer networks are the §4.1 kernel forms ExportC emits, and
+// (*Model).WithPredictor pins one of them to time or check it on the
+// admission path.
 
 import (
 	"repro/internal/core"
 	"repro/internal/nn"
-	"repro/internal/serve"
 )
 
-// Predictor is the unified inference engine: single-row Predict, the
-// zero-alloc batch-major PredictBatchInto, and the sizing accessors scratch
-// allocation needs. Implemented by FloatNetwork, QuantizedNetwork, and
-// Int8Network; custom engines (e.g. a remote or hardware-offloaded scorer)
-// can implement it too and be installed with (*Model).SetPredictor.
+// Predictor is the inference engine interface: the zero-alloc batch-major
+// PredictBatchInto plus the sizing accessors scratch allocation needs.
+// Implemented by FloatNetwork, QuantizedNetwork, and Int8Network; custom
+// engines (e.g. a remote or hardware-offloaded scorer) can implement it too
+// and be installed with (*Model).WithPredictor.
 type Predictor = nn.Predictor
 
 // PredictorScratch holds a Predictor's reusable layer buffers; one per
@@ -30,27 +29,20 @@ func NewPredictorScratch(p Predictor, maxBatch int) *PredictorScratch {
 	return nn.NewScratch(p, maxBatch)
 }
 
-// FloatNetwork is the trained float64 network — the ladder's reference rung.
+// FloatNetwork is the trained float64 network — the engine a Model decides
+// through.
 type FloatNetwork = nn.Network
 
-// QuantizedNetwork is the x1024 int32 fixed-point network (§4.1).
+// QuantizedNetwork is the x1024 int32 fixed-point network (§4.1), the
+// reference for ExportC's C kernel.
 type QuantizedNetwork = nn.QuantNetwork
 
-// Int8Network is the batched int8 engine: per-output-channel symmetric
-// weight scales, calibrated activation scales, int32 accumulation. Integer
-// arithmetic makes its batch kernel bit-identical at any batch shape, which
-// is what lets the serving layer batch decisions without changing verdicts.
+// Int8Network is the batched int8 network: per-output-channel symmetric
+// weight scales, calibrated activation scales, int32 accumulation — the
+// reference for ExportC's int8 C kernel. Integer arithmetic makes it
+// bit-identical at any batch shape on any platform.
 type Int8Network = nn.QuantNetwork8
 
-// ModelScratch is the per-caller buffer set behind (*Model).AdmitInto and
-// (*Model).AdmitBatchInto; create one per goroutine with
-// (*Model).NewScratch or (*Model).NewBatchScratch.
+// ModelScratch is the per-caller buffer set behind (*Model).AdmitBatchInto;
+// create one per goroutine with (*Model).NewBatchScratch.
 type ModelScratch = core.Scratch
-
-// NewServerWithPredictor wraps the model in an admission server that
-// decides through p instead of the model's active engine — e.g. pin the
-// int32 rung for a canary while the fleet default is int8. The original
-// model is not mutated; passing nil serves the model's ladder default.
-func NewServerWithPredictor(m *Model, p Predictor, cfg ServeConfig) *Server {
-	return serve.NewServer(m.WithPredictor(p), cfg)
-}

@@ -48,8 +48,9 @@ const (
 
 // NewServer wraps a trained model in an admission server and starts its
 // shard workers. Attach listeners with (*Server).Serve. Decisions flow
-// through the model's active Predictor in one batched pass per drained
-// micro-batch; NewServerWithPredictor pins a specific engine instead.
+// through the model's float network in one batched pass per drained
+// micro-batch; the verdicts are bit-identical at any batch size or shard
+// count.
 func NewServer(m *Model, cfg ServeConfig) *Server { return serve.NewServer(m, cfg) }
 
 // ListenAdmission opens a listener for "unix:/path/sock", "tcp:host:port",
